@@ -1,29 +1,41 @@
 // Ed25519 signatures (RFC 8032), implemented from scratch.
 //
 // Vendored next to sha256/hmac so the signing layer has no external
-// dependency: a compact, allocation-free implementation in the TweetNaCl
-// style (radix-2^16 field elements, extended twisted-Edwards coordinates,
-// the complete a=-1 addition law). Secret-scalar multiplications (key
-// generation, signing) run the constant-time conditional-swap ladder;
-// verification — public data — uses a 4-bit-window variable-time multiply,
-// roughly 1.5x faster per point multiplication.
+// dependency. The design follows Bernstein et al., "High-speed
+// high-security signatures" (CHES 2011):
+//
+//  * Field: GF(2^255 - 19) in five 51-bit limbs, products accumulated in
+//    unsigned __int128, with a dedicated squaring and fixed addition chains
+//    for inversion and the square-root exponent (p-5)/8.
+//  * Group: extended twisted-Edwards coordinates with the complete a = -1
+//    addition law, plus the projective, completed, cached and affine forms
+//    that drop multiplications from doubling and addition.
+//  * Key generation and signing (secret scalars): signed radix-16 windows
+//    over a fixed-base table of j·256^i·B (32 rows of 8 affine points, ~30 KB,
+//    built once on first use, thread-safe). Every lookup scans the whole row
+//    with constant-time moves and negates in constant time, so neither
+//    branches nor memory addresses depend on the secret.
+//  * Verification (public data only): variable-time width-5 NAF with
+//    Straus's interleaving; verify() is the two-term s·B - h·A case.
 //
 // verify_batch() implements small-exponent batch verification: for random
 // 128-bit coefficients z_i it checks
 //
 //     (sum z_i s_i) B  ==  sum z_i R_i + sum (z_i h_i) A_i
 //
-// in one multi-scalar accumulation, amortizing the shared base-point term
-// and halving the R_i multiplications (128- vs 256-bit scalars) — the
+// as one multi-scalar multiplication over all 2n+1 points that shares a
+// single chain of doublings (the R_i terms use half-length scalars) — the
 // round-batch amortization the auth layer benches (BM_auth_verify_batch).
 // A failing batch says only "at least one bad signature": callers fall back
 // to individual verify() to attribute blame.
 //
 // Signatures are deterministic (RFC 8032 nonce derivation), which the
 // golden-fingerprint equivalence tests rely on. Non-canonical signatures
-// (s >= L) are rejected. This implementation trades side-channel hardening
-// beyond the CT ladder (no cache-line scrubbing, no table masking) for
-// compactness — fine for the research simulator, called out in docs/AUTH.md.
+// (s >= L) are rejected, and point decoding is strict (RFC 8032 §5.1.3):
+// an encoded y >= p, or x = 0 with the sign bit set, is not a point. Side
+// channels beyond the constant-time secret-scalar path (cache-line
+// scrubbing, table masking, zeroizing secrets) are out of scope for the
+// research simulator; see docs/AUTH.md.
 #pragma once
 
 #include <array>
@@ -50,8 +62,8 @@ KeyPair keypair_from_seed(const Seed& seed);
 /// Sign `message` (detached, deterministic).
 Signature sign(const KeyPair& kp, BytesView message);
 
-/// Verify a detached signature. False on bad point encodings, non-canonical
-/// s, or signature mismatch — never throws.
+/// Verify a detached signature. False on bad or non-canonical point
+/// encodings, non-canonical s, or signature mismatch — never throws.
 bool verify(const PublicKey& pk, BytesView message, const Signature& sig);
 
 /// One signature of a batch. Pointers are borrowed for the call.

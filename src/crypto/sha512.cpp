@@ -79,6 +79,8 @@ void Sha512::compress(const std::uint8_t* block) {
 }
 
 Sha512& Sha512::update(BytesView data) {
+  // An empty view may carry a null pointer, which memcpy must not see.
+  if (data.empty()) return *this;
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
   len_lo_ += n;

@@ -347,7 +347,9 @@ MinimizeResult minimize(const Scenario& failing, FuzzVerdict verdict,
     Scenario candidate = current;
     step(candidate);
     if (probe(candidate)) {
-      current = std::move(candidate);
+      // Apply in place rather than move the candidate in: the loops below
+      // hold references into current's clause vectors across steps.
+      step(current);
       return true;
     }
     return false;
