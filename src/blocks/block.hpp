@@ -52,6 +52,15 @@ class Endpoint {
   /// behaviour. Wrapper endpoints forward to the wrapped endpoint.
   virtual bool schedule_after(std::int64_t delay_ns, std::function<void()> fn);
 
+  /// local_time() of a runtime without a virtual clock.
+  static constexpr std::int64_t kNoClock = -1;
+
+  /// This node's virtual time in ns — in a handler, the instant it started —
+  /// for transport-level measurement (ReliableLink's round-trip estimator).
+  /// kNoClock (the default — thread/TCP runtimes) means there is none and
+  /// callers must not measure. Wrapper endpoints forward to the wrapped one.
+  virtual std::int64_t local_time() const { return kNoClock; }
+
   /// Round liveness timeout of the reliability layer, in virtual ns; 0 (the
   /// default) disables the round watchdogs (RoundCollector::arm is a no-op).
   virtual std::int64_t round_timeout() const { return 0; }

@@ -42,17 +42,33 @@ std::size_t DistributedAuctioneer::parallelism() const {
   return max_parallelism(spec_.m, spec_.k);
 }
 
+namespace {
+
+/// The ⊥ that explains the run: the first first-hand abort in provider
+/// order. A kCascaded ⊥ only says its provider heard somebody else's abort,
+/// and which provider hears first is a timing accident; the fallback, when
+/// every ⊥ is cascaded, is the first ⊥.
+Bottom root_cause(std::span<const auction::AuctionOutcome> per_provider) {
+  const Bottom* first = nullptr;
+  for (const auto& o : per_provider) {
+    if (!o.is_bottom()) continue;
+    if (o.bottom().reason != AbortReason::kCascaded) return o.bottom();
+    if (!first) first = &o.bottom();
+  }
+  return *first;
+}
+
+}  // namespace
+
 auction::AuctionOutcome combine_outcomes(
     std::span<const auction::AuctionOutcome> per_provider) {
   if (per_provider.empty()) {
     return Bottom{AbortReason::kProtocolViolation, "no provider outputs"};
   }
   const auto& first = per_provider.front();
-  if (first.is_bottom()) {
-    return Bottom{first.bottom().reason, first.bottom().detail};
-  }
+  if (first.is_bottom()) return root_cause(per_provider);
   for (const auto& o : per_provider) {
-    if (o.is_bottom()) return Bottom{o.bottom().reason, o.bottom().detail};
+    if (o.is_bottom()) return root_cause(per_provider);
     if (!(o.value() == first.value())) {
       return Bottom{AbortReason::kOutputMismatch,
                     "providers emitted different results"};

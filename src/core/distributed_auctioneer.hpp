@@ -65,7 +65,9 @@ class DistributedAuctioneer {
 };
 
 /// Derive the global outcome from per-provider outputs: (x, p⃗) iff every
-/// provider produced that same pair; ⊥ otherwise (§3.2).
+/// provider produced that same pair; ⊥ otherwise (§3.2). A ⊥ reports its
+/// root cause: the first non-cascaded provider ⊥ in provider order, or the
+/// first ⊥ when all of them are cascaded.
 auction::AuctionOutcome combine_outcomes(
     std::span<const auction::AuctionOutcome> per_provider);
 

@@ -77,6 +77,7 @@ class ScopedEndpoint final : public blocks::Endpoint {
     return inner_.schedule_after(delay_ns, std::move(fn));
   }
   std::int64_t round_timeout() const override { return inner_.round_timeout(); }
+  std::int64_t local_time() const override { return inner_.local_time(); }
 
   void send(NodeId to, const net::Topic& topic, SharedBytes payload) override;
 

@@ -39,7 +39,8 @@ ReliableLink::ReliableLink(blocks::Endpoint& base, ReliabilityConfig config)
       config_(config),
       m_(base.num_providers()),
       ack_topic_(kAckTopicName),
-      rreq_topic_(kRetransmitRequestTopicName) {}
+      rreq_topic_(kRetransmitRequestTopicName),
+      rtt_(m_) {}
 
 void ReliableLink::send(NodeId to, const net::Topic& topic, SharedBytes payload) {
   if (topic == rreq_topic_) {
@@ -63,9 +64,10 @@ void ReliableLink::send(NodeId to, const net::Topic& topic, SharedBytes payload)
   sent_cache_[cache_key(to, topic.id())] = CachedSend{topic, payload};
   if (timers_available_) {
     const MsgKey key{to, topic.id(), payload_digest(payload)};
-    const auto [it, inserted] = unacked_.emplace(key, Pending{to, topic, payload, 0});
+    const auto [it, inserted] =
+        unacked_.emplace(key, Pending{to, topic, payload, 0, base_.local_time()});
     if (inserted) {
-      if (schedule_retransmit(key, 0)) {
+      if (schedule_retransmit(key, to, 0)) {
         ++stats_.tracked;
       } else {
         // The wrapped endpoint has no timer facility (thread/TCP runtimes):
@@ -111,11 +113,19 @@ void ReliableLink::wire_send(NodeId to, const net::Topic& topic,
   base_.send(to, topic, SharedBytes(w.take()));
 }
 
-bool ReliableLink::schedule_retransmit(const MsgKey& key, std::size_t attempt) {
-  // Exponential backoff in virtual time: delay · 2^attempt (capped well
-  // below overflow; max_retries bounds the chain anyway).
-  const sim::SimTime delay =
-      config_.retransmit_delay << std::min<std::size_t>(attempt, 16);
+sim::SimTime ReliableLink::rto(NodeId peer) const {
+  if (peer >= rtt_.size() || !rtt_[peer].sampled) return config_.retransmit_delay;
+  const RttEstimator& e = rtt_[peer];
+  return std::max(config_.retransmit_delay, e.srtt + 4 * e.rttvar);
+}
+
+bool ReliableLink::schedule_retransmit(const MsgKey& key, NodeId to,
+                                       std::size_t attempt) {
+  // Exponential backoff in virtual time: RTO · 2^attempt (capped well below
+  // overflow; max_retries bounds the chain anyway). The wrapped endpoint
+  // counts the delay from the end of the running handler — when the frame
+  // this timer guards actually departs.
+  const sim::SimTime delay = rto(to) << std::min<std::size_t>(attempt, 16);
   return base_.schedule_after(delay, [this, weak = std::weak_ptr<int>(alive_), key] {
     if (weak.expired()) return;
     const auto it = unacked_.find(key);
@@ -132,9 +142,43 @@ bool ReliableLink::schedule_retransmit(const MsgKey& key, std::size_t attempt) {
     }
     ++p.attempt;
     ++stats_.retransmits;
+    p.sent_at = kNoClock;  // Karn: the ack may now answer either copy
     wire_send(p.to, p.topic, p.payload);
-    schedule_retransmit(key, p.attempt);
+    schedule_retransmit(key, p.to, p.attempt);
   });
+}
+
+void ReliableLink::on_ack(const MsgKey& key) {
+  ++stats_.acks_received;
+  const auto it = unacked_.find(key);
+  if (it == unacked_.end()) return;  // redundant re-acks miss and are fine
+  const Pending& p = it->second;
+  const std::int64_t now = base_.local_time();
+  if (p.sent_at != kNoClock && now != kNoClock && now >= p.sent_at) {
+    // RFC 6298 §2 with α = 1/8, β = 1/4, in integer ns: RTTVAR from the old
+    // SRTT first, then SRTT.
+    const sim::SimTime r = now - p.sent_at;
+    RttEstimator& e = rtt_[p.to];
+    if (!e.sampled) {
+      e.srtt = r;
+      e.rttvar = r / 2;
+      e.sampled = true;
+    } else {
+      const sim::SimTime err = e.srtt > r ? e.srtt - r : r - e.srtt;
+      e.rttvar = (3 * e.rttvar + err) / 4;
+      e.srtt = (7 * e.srtt + r) / 8;
+    }
+  }
+  unacked_.erase(it);
+}
+
+void ReliableLink::answer_from_cache(NodeId to, const CachedSend& cached) {
+  if (const auto it = unacked_.find(
+          MsgKey{to, cached.topic.id(), payload_digest(cached.payload)});
+      it != unacked_.end()) {
+    it->second.sent_at = kNoClock;  // Karn: the ack may answer this copy
+  }
+  wire_send(to, cached.topic, cached.payload);
 }
 
 void ReliableLink::send_ack_frame(NodeId to, const std::string& topic,
@@ -209,8 +253,7 @@ bool ReliableLink::on_deliver(net::Message& msg) {
     if (!topic) return false;  // ack for a topic nobody here ever sent
     MsgKey key{msg.from, topic->id(), {}};
     std::memcpy(key.digest.data(), v.data() + (v.size() - 32), 32);
-    unacked_.erase(key);  // redundant re-acks miss and are fine
-    ++stats_.acks_received;
+    on_ack(key);
     return false;
   }
   if (msg.topic == rreq_topic_) {
@@ -232,7 +275,7 @@ bool ReliableLink::on_deliver(net::Message& msg) {
                 });
       for (const CachedSend* cached : entries) {
         ++stats_.rejoin_answers;
-        wire_send(msg.from, cached->topic, cached->payload);
+        answer_from_cache(msg.from, *cached);
       }
       return false;
     }
@@ -244,7 +287,7 @@ bool ReliableLink::on_deliver(net::Message& msg) {
     if (const auto it = sent_cache_.find(cache_key(msg.from, topic->id()));
         it != sent_cache_.end()) {
       ++stats_.rerequests_answered;
-      wire_send(msg.from, *topic, it->second.payload);
+      answer_from_cache(msg.from, it->second);
     }
     return false;
   }
@@ -266,8 +309,7 @@ bool ReliableLink::on_deliver(net::Message& msg) {
       if (!topic) continue;  // ack for a topic nobody here ever sent
       MsgKey key{msg.from, topic->id(), {}};
       std::memcpy(key.digest.data(), digest.data(), 32);
-      unacked_.erase(key);  // redundant re-acks miss and are fine
-      ++stats_.acks_received;
+      on_ack(key);
     }
     msg.set_payload(
         msg.payload.suffix(msg.payload.size() - r.remaining()));

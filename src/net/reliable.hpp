@@ -10,10 +10,14 @@
 //  * Sender side: every data message to a provider is keyed by
 //    (peer, topic, sha256(payload)) and kept until the matching ack arrives.
 //    A virtual-time timer retransmits it with exponential backoff
-//    (retransmit_delay · 2^attempt); after max_retries unacked retransmits
-//    the link gives up and reports the peer unreachable through the give-up
-//    callback (the runtime turns that into a clean ⊥ with
-//    AbortReason::kDeliveryFailed — termination instead of a silent stall).
+//    (RTO · 2^attempt). The RTO adapts per peer (RFC 6298): a smoothed
+//    round-trip estimate from first-transmission acks, never below
+//    retransmit_delay — and retransmit_delay itself until the peer's first
+//    sample, or always on runtimes without a clock. After max_retries
+//    unacked retransmits the link gives up and reports the peer
+//    unreachable through the give-up callback (the runtime turns that into
+//    a clean ⊥ with AbortReason::kDeliveryFailed — termination instead of
+//    a silent stall).
 //  * Receiver side: every data message from a provider is acked
 //    (net::kAckTopicName, payload = topic string ++ 32-byte payload digest)
 //    and deduplicated by the same digest key *before* the blocks see it, so
@@ -50,7 +54,9 @@ namespace dauct::net {
 /// (one-way base 2.5 ms → first retransmit comfortably past one RTT).
 struct ReliabilityConfig {
   bool enable = false;
-  sim::SimTime retransmit_delay = sim::from_millis(8);  ///< backoff base
+  /// Initial RTO (a peer with no round-trip sample yet) and the floor of
+  /// the adaptive RTO; backoff doubles from the RTO.
+  sim::SimTime retransmit_delay = sim::from_millis(8);
   std::size_t max_retries = 6;       ///< retransmits before giving up
   sim::SimTime round_timeout = sim::from_millis(12);  ///< 0 = no watchdogs
 
@@ -135,6 +141,7 @@ class ReliableLink final : public blocks::Endpoint {
   bool schedule_after(std::int64_t delay_ns, std::function<void()> fn) override {
     return base_.schedule_after(delay_ns, std::move(fn));
   }
+  std::int64_t local_time() const override { return base_.local_time(); }
   std::int64_t round_timeout() const override { return config_.round_timeout; }
 
   /// Inbound hook, called by the runtime before the engine sees a delivery.
@@ -173,6 +180,11 @@ class ReliableLink final : public blocks::Endpoint {
   /// Current sender key-history size (bounded by the same window).
   std::size_t sent_key_entries() const { return sent_keys_.size(); }
 
+  /// Retransmission timeout toward provider `peer` for a first
+  /// transmission: retransmit_delay until the peer's first round-trip
+  /// sample, then max(retransmit_delay, SRTT + 4·RTTVAR).
+  sim::SimTime rto(NodeId peer) const;
+
  private:
   /// Identity of one logical message: peer + round topic + payload digest.
   /// (`node` is the receiver for pending sends, the sender for the dedup
@@ -193,11 +205,24 @@ class ReliableLink final : public blocks::Endpoint {
     net::Topic topic;
     SharedBytes payload;
     std::size_t attempt = 0;
+    /// local_time() of the first transmission; kNoClock once the ack could
+    /// answer a second copy (retransmit, re-request answer) — Karn's rule:
+    /// such an ack is ambiguous and yields no round-trip sample.
+    std::int64_t sent_at = kNoClock;
+  };
+  /// RFC 6298 round-trip state of one peer, integer ns (bit-reproducible).
+  struct RttEstimator {
+    sim::SimTime srtt = 0;
+    sim::SimTime rttvar = 0;
+    bool sampled = false;
   };
 
-  /// Arm the next retransmit timer for `key`; false iff the wrapped
-  /// endpoint has no timer facility.
-  bool schedule_retransmit(const MsgKey& key, std::size_t attempt);
+  /// Arm the next retransmit timer for `key`, due rto(to) · 2^attempt
+  /// after this send; false iff the wrapped endpoint has no timer facility.
+  bool schedule_retransmit(const MsgKey& key, NodeId to, std::size_t attempt);
+  /// An ack for `key` arrived (standalone or piggybacked): retire the
+  /// pending entry, feeding its round trip to the estimator if unambiguous.
+  void on_ack(const MsgKey& key);
   void queue_or_send_ack(const net::Message& msg);
   void send_ack_frame(NodeId to, const std::string& topic,
                       const crypto::Digest& digest);
@@ -239,6 +264,11 @@ class ReliableLink final : public blocks::Endpoint {
     SharedBytes payload;
   };
   std::unordered_map<std::uint64_t, CachedSend> sent_cache_;
+  /// Re-send a cached payload to answer a re-request or rejoin sweep. The
+  /// answer is untracked, but it makes the original's ack ambiguous.
+  void answer_from_cache(NodeId to, const CachedSend& cached);
+  /// Per-provider round-trip estimators, indexed by NodeId (size m_).
+  std::vector<RttEstimator> rtt_;
 
   /// Acks owed per peer, awaiting a data frame to ride on (or the
   /// end-of-instant flush). Only used with config_.piggyback_acks and a

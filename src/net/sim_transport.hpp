@@ -22,10 +22,14 @@ class SimEndpoint final : public blocks::Endpoint {
     scheduler_.send(Message{self_, to, topic, std::move(payload)});
   }
 
+  /// Counts from the end of the running handler when armed from one
+  /// (sim::Scheduler::schedule_after).
   bool schedule_after(std::int64_t delay_ns, std::function<void()> fn) override {
-    scheduler_.schedule_timer(scheduler_.now() + delay_ns, self_, std::move(fn));
+    scheduler_.schedule_after(self_, delay_ns, std::move(fn));
     return true;
   }
+
+  std::int64_t local_time() const override { return scheduler_.local_time(self_); }
 
   crypto::Rng& rng() override { return rng_; }
 

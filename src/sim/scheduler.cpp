@@ -91,11 +91,29 @@ void Scheduler::inject(SimTime at, net::Message msg) {
 
 void Scheduler::schedule_timer(SimTime at, NodeId node, std::function<void()> fn) {
   assert(node < num_nodes_);
-  // The timer is valid for the node incarnation that armed it: an amnesia
-  // rebuild bumps the incarnation and every older timer degrades to a no-op.
-  const std::uint32_t inc = incarnations_[node];
-  queue_.schedule(at, [this, at, node, inc, fn = std::move(fn)] {
-    run_timer(at, node, inc, fn);
+  arm_timer(at, node, incarnations_[node], std::move(fn));
+}
+
+void Scheduler::schedule_after(NodeId node, SimTime delay, std::function<void()> fn) {
+  assert(node < num_nodes_);
+  if (in_handler_ && node == current_node_) {
+    timer_box_.push_back(PendingTimer{delay, incarnations_[node], std::move(fn)});
+  } else {
+    arm_timer(now_ + delay, node, incarnations_[node], std::move(fn));
+  }
+}
+
+SimTime Scheduler::local_time(NodeId node) const {
+  if (in_handler_ && node == current_node_) return context_start_;
+  return std::max(now_, clocks_.at(node));
+}
+
+// The timer is valid for the node incarnation that armed it: an amnesia
+// rebuild bumps the incarnation and every older timer degrades to a no-op.
+void Scheduler::arm_timer(SimTime at, NodeId node, std::uint32_t incarnation,
+                          std::function<void()> fn) {
+  queue_.schedule(at, [this, at, node, incarnation, fn = std::move(fn)] {
+    run_timer(at, node, incarnation, fn);
   });
 }
 
@@ -115,6 +133,7 @@ void Scheduler::run_in_node_context(SimTime at, NodeId node, SimTime initial_cha
 
   in_handler_ = true;
   current_node_ = node;
+  context_start_ = start;
   extra_charge_ = initial_charge;
   const SimTime cpu_before = thread_cpu_now();
   fn();
@@ -127,6 +146,12 @@ void Scheduler::run_in_node_context(SimTime at, NodeId node, SimTime initial_cha
   current_node_ = kNoNode;
 
   clocks_[node] = start + cost;
+  // Armed before the outbox flush, so each timer's queue sequence number
+  // stays below those of the callback's messages.
+  for (auto& t : timer_box_) {
+    arm_timer(clocks_[node] + t.delay, node, t.incarnation, std::move(t.fn));
+  }
+  timer_box_.clear();
   flush_outbox(clocks_[node]);
 }
 

@@ -88,11 +88,25 @@ class Scheduler {
   /// while the node is down is discarded forever on a crash-stop, but
   /// *deferred to the recovery instant* on a crash-recover — engine state
   /// survives the window, so the node's timer wheel does too (in-flight
-  /// messages of the window stay lost). Used by the reliability layer
-  /// (net/reliable.hpp) for retransmit backoff and round watchdogs; nothing
-  /// schedules timers unless reliability is enabled, so the timer-free
-  /// event stream is untouched.
+  /// messages of the window stay lost). Used for amnesia recovery at a
+  /// fixed instant; the reliability layer's retransmit backoff and round
+  /// watchdogs (net/reliable.hpp) go through schedule_after below. Nothing
+  /// schedules timers unless reliability or recovery is enabled, so the
+  /// timer-free event stream is untouched.
   void schedule_timer(SimTime at, NodeId node, std::function<void()> fn);
+
+  /// Relative timer of `node` (the endpoints' schedule_after). Armed from
+  /// inside `node`'s own handler or timer, it counts from that callback's
+  /// *end* — the instant its sends depart — not from now(): a backlogged
+  /// node starts its handler late, and a timer counted from the nominal
+  /// event time could fall due before the frame it guards has left. Armed
+  /// anywhere else it counts from now(). Same crash and incarnation
+  /// semantics as schedule_timer.
+  void schedule_after(NodeId node, SimTime delay, std::function<void()> fn);
+
+  /// `node`'s local virtual time: inside its own handler or timer, the
+  /// instant the callback started; elsewhere, max(now(), clock(node)).
+  SimTime local_time(NodeId node) const;
 
   /// Invalidate every timer `node` scheduled before this call: a timer fires
   /// only if the node's incarnation still matches the one captured when it
@@ -153,11 +167,14 @@ class Scheduler {
 
  private:
   void deliver(SimTime at, net::Message msg);
+  void arm_timer(SimTime at, NodeId node, std::uint32_t incarnation,
+                 std::function<void()> fn);
   void run_timer(SimTime at, NodeId node, std::uint32_t incarnation,
                  const std::function<void()>& fn);
   /// Shared handler/timer execution protocol: run `fn` on `node` starting no
   /// earlier than `at`, charge `initial_charge` plus (in kMeasured mode) the
-  /// callback's real CPU time to the node's clock, then flush its outbox.
+  /// callback's real CPU time to the node's clock, then arm the relative
+  /// timers it scheduled and flush its outbox, both from the end time.
   template <typename Fn>
   void run_in_node_context(SimTime at, NodeId node, SimTime initial_charge, Fn&& fn);
   void flush_outbox(SimTime depart);
@@ -182,8 +199,17 @@ class Scheduler {
   // Handler-execution context.
   bool in_handler_ = false;
   NodeId current_node_ = kNoNode;
+  SimTime context_start_ = 0;
   SimTime extra_charge_ = 0;
   std::vector<net::Message> outbox_;
+  /// Relative timers armed by the running callback, due `delay` after its
+  /// end: armed next to the outbox flush, once the end time is known.
+  struct PendingTimer {
+    SimTime delay;
+    std::uint32_t incarnation;
+    std::function<void()> fn;
+  };
+  std::vector<PendingTimer> timer_box_;
 
   TrafficStats traffic_;
   std::unique_ptr<FaultInjector> faults_;  ///< null = fault-free (the fast path)

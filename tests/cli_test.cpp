@@ -121,6 +121,18 @@ TEST(Cli, ServicePlaneRunPrintsPerInstanceReport) {
   EXPECT_NE(r.output.find("auctions/vsec"), std::string::npos);
 }
 
+TEST(Cli, ReliableServicePlaneRunPrintsTheReliabilitySummary) {
+  const auto r = run_command(
+      "--auction double --users 8 --providers 3 --k 1 --seed 3 "
+      "--instances 3 --pipeline-depth 2 --reliable");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("3/3 instances ok"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("reliability: "), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find(" tracked, "), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find(" retransmits, "), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find(" give-ups"), std::string::npos) << r.output;
+}
+
 TEST(Cli, ServicePlaneFlagValidation) {
   const auto depth = run_command("--instances 2 --pipeline-depth 3");
   EXPECT_EQ(depth.exit_code, 1);

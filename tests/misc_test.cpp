@@ -50,6 +50,32 @@ TEST(CombineOutcomes, AnyBottomWins) {
   EXPECT_EQ(combined.bottom().reason, AbortReason::kTransferMismatch);
 }
 
+TEST(CombineOutcomes, BottomReportsTheFirstFirstHandAbort) {
+  // Provider 0 only heard the abort (cascaded); provider 2 detected the
+  // fault first-hand. The global reason is the root cause, in provider
+  // order, whichever provider heard first.
+  auction::AuctionResult r;
+  std::vector<auction::AuctionOutcome> outs = {
+      auction::AuctionOutcome(Bottom{AbortReason::kCascaded, "heard"}),
+      auction::AuctionOutcome(r),
+      auction::AuctionOutcome(Bottom{AbortReason::kDeliveryFailed, "p3 unreachable"}),
+      auction::AuctionOutcome(Bottom{AbortReason::kProtocolViolation, "later"}),
+  };
+  auto combined = core::combine_outcomes(std::span(outs));
+  ASSERT_TRUE(combined.is_bottom());
+  EXPECT_EQ(combined.bottom().reason, AbortReason::kDeliveryFailed);
+  EXPECT_EQ(combined.bottom().detail, "p3 unreachable");
+
+  // Every ⊥ cascaded: fall back to the first one.
+  outs = {auction::AuctionOutcome(r),
+          auction::AuctionOutcome(Bottom{AbortReason::kCascaded, "first"}),
+          auction::AuctionOutcome(Bottom{AbortReason::kCascaded, "second"})};
+  combined = core::combine_outcomes(std::span(outs));
+  ASSERT_TRUE(combined.is_bottom());
+  EXPECT_EQ(combined.bottom().reason, AbortReason::kCascaded);
+  EXPECT_EQ(combined.bottom().detail, "first");
+}
+
 TEST(CombineOutcomes, DivergentResultsAreBottom) {
   auction::AuctionResult a, b;
   a.payments.user_payments = {Money::from_units(1)};

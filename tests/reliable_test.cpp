@@ -15,9 +15,11 @@
 #include <gtest/gtest.h>
 
 #include "core/adapters.hpp"
+#include "core/service_plane.hpp"
 #include "crypto/sha256.hpp"
 #include "net/reliable.hpp"
 #include "net/sim_transport.hpp"
+#include "runtime/service_runtime.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "serde/auction_codec.hpp"
 #include "test_util.hpp"
@@ -409,8 +411,9 @@ TEST(SchedulerTimer, TimerBeforeCrashWindowStillFires) {
 // Round watchdog (RoundCollector::arm)
 // ---------------------------------------------------------------------------
 
-/// Endpoint with a hand-cranked timer wheel: callbacks are stored and fired
-/// by the test, sends are recorded.
+/// Endpoint with a hand-cranked timer wheel and clock: callbacks and their
+/// delays are stored and fired by the test, sends are recorded, and
+/// local_time() reads `now` (kNoClock unless the test sets it).
 class ManualTimerEndpoint final : public blocks::Endpoint {
  public:
   ManualTimerEndpoint(std::size_t m, std::int64_t timeout)
@@ -420,16 +423,27 @@ class ManualTimerEndpoint final : public blocks::Endpoint {
   std::size_t num_providers() const override { return m_; }
   crypto::Rng& rng() override { return rng_; }
   std::int64_t round_timeout() const override { return timeout_; }
-  bool schedule_after(std::int64_t, std::function<void()> fn) override {
+  std::int64_t local_time() const override { return now; }
+  bool schedule_after(std::int64_t delay, std::function<void()> fn) override {
     timers.push_back(std::move(fn));
+    delays.push_back(delay);
     return true;
   }
   void send(NodeId to, const net::Topic& topic, SharedBytes payload) override {
     sent.push_back(net::Message{0, to, topic, std::move(payload)});
   }
 
+  /// Fire timer `i`. The callback is moved out first: it may arm more
+  /// timers, and growing the vector must not free the running closure.
+  void fire(std::size_t i) {
+    const auto fn = std::move(timers.at(i));
+    fn();
+  }
+
   std::vector<std::function<void()>> timers;
+  std::vector<std::int64_t> delays;
   std::vector<net::Message> sent;
+  std::int64_t now = kNoClock;
 
  private:
   std::size_t m_;
@@ -486,6 +500,175 @@ TEST(RoundWatch, CompletionAndCancelDisarm) {
     round.arm(off, topic);
     EXPECT_TRUE(off.timers.empty());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Adaptive retransmission timeout (RFC 6298 estimator in ReliableLink)
+// ---------------------------------------------------------------------------
+
+/// The standalone ack frame provider `from` sends for `payload` on `topic`.
+net::Message ack_from(NodeId from, const std::string& topic, const Bytes& payload) {
+  const crypto::Digest d = crypto::sha256(BytesView(payload));
+  Bytes frame(topic.begin(), topic.end());
+  frame.insert(frame.end(), d.begin(), d.end());
+  return net::Message{from, 0, net::kAckTopicName, SharedBytes(std::move(frame))};
+}
+
+/// Send `payload` on `topic` to provider 1 at `sent_at` and ack it at
+/// `acked_at` — one clean round trip.
+void round_trip(ManualTimerEndpoint& ep, net::ReliableLink& link,
+                const std::string& topic, const Bytes& payload,
+                std::int64_t sent_at, std::int64_t acked_at) {
+  ep.now = sent_at;
+  link.send(1, topic, SharedBytes(Bytes(payload)));
+  ep.now = acked_at;
+  net::Message ack = ack_from(1, topic, payload);
+  link.on_deliver(ack);
+}
+
+net::ReliabilityConfig rto_config() {
+  net::ReliabilityConfig cfg;
+  cfg.enable = true;  // retransmit_delay: the default 8 ms floor
+  cfg.round_timeout = 0;
+  return cfg;
+}
+
+TEST(AdaptiveRto, FirstSendToAnUnsampledPeerUsesRetransmitDelay) {
+  ManualTimerEndpoint ep(3, 0);
+  ep.now = 0;
+  net::ReliableLink link(ep, rto_config());
+  link.send(1, "t/a", SharedBytes(Bytes{1}));
+  ASSERT_EQ(ep.delays.size(), 1u);
+  EXPECT_EQ(ep.delays[0], sim::from_millis(8));
+  EXPECT_EQ(link.rto(1), sim::from_millis(8));
+  EXPECT_EQ(link.rto(2), sim::from_millis(8));
+}
+
+TEST(AdaptiveRto, SamplesSetSrttPlusFourRttvarAboveTheFloor) {
+  ManualTimerEndpoint ep(3, 0);
+  net::ReliableLink link(ep, rto_config());
+  // First sample R = 20 ms: SRTT = 20, RTTVAR = 10 → RTO = 60 ms.
+  round_trip(ep, link, "t/a", Bytes{1}, 0, sim::from_millis(20));
+  EXPECT_EQ(link.rto(1), sim::from_millis(60));
+  EXPECT_EQ(link.rto(2), sim::from_millis(8)) << "estimators are per peer";
+  // Second sample R = 12 ms: RTTVAR = (3·10 + |20 − 12|)/4 = 9.5,
+  // SRTT = (7·20 + 12)/8 = 19 → RTO = 19 + 38 = 57 ms.
+  round_trip(ep, link, "t/b", Bytes{2}, sim::from_millis(100), sim::from_millis(112));
+  EXPECT_EQ(link.rto(1), sim::from_millis(57));
+  // The next first transmission to that peer waits the adapted RTO.
+  ep.now = sim::from_millis(200);
+  link.send(1, "t/c", SharedBytes(Bytes{3}));
+  EXPECT_EQ(ep.delays.back(), sim::from_millis(57));
+
+  // Fast peer: R = 1 ms gives SRTT + 4·RTTVAR = 3 ms; the floor holds.
+  ManualTimerEndpoint fast_ep(3, 0);
+  net::ReliableLink fast(fast_ep, rto_config());
+  round_trip(fast_ep, fast, "t/a", Bytes{1}, 0, sim::from_millis(1));
+  EXPECT_EQ(fast.rto(1), sim::from_millis(8));
+}
+
+TEST(AdaptiveRto, KarnAmbiguousAcksYieldNoSample) {
+  {
+    // Retransmitted: the ack may answer either copy.
+    ManualTimerEndpoint ep(2, 0);
+    net::ReliableLink link(ep, rto_config());
+    ep.now = 0;
+    link.send(1, "t/a", SharedBytes(Bytes{1}));
+    ep.fire(0);
+    ASSERT_EQ(link.stats().retransmits, 1u);
+    ep.now = sim::from_millis(30);
+    net::Message ack = ack_from(1, "t/a", Bytes{1});
+    link.on_deliver(ack);
+    EXPECT_EQ(link.stats().acks_received, 1u);
+    EXPECT_EQ(link.rto(1), sim::from_millis(8)) << "sampled a retransmitted message";
+  }
+  {
+    // Answered from the re-request cache: same ambiguity.
+    ManualTimerEndpoint ep(2, 0);
+    net::ReliableLink link(ep, rto_config());
+    ep.now = 0;
+    link.send(1, "t/a", SharedBytes(Bytes{1}));
+    const std::string topic = "t/a";
+    net::Message rreq{1, 0, net::kRetransmitRequestTopicName,
+                      SharedBytes(Bytes(topic.begin(), topic.end()))};
+    link.on_deliver(rreq);
+    ASSERT_EQ(link.stats().rerequests_answered, 1u);
+    ep.now = sim::from_millis(30);
+    net::Message ack = ack_from(1, "t/a", Bytes{1});
+    link.on_deliver(ack);
+    EXPECT_EQ(link.stats().acks_received, 1u);
+    EXPECT_EQ(link.rto(1), sim::from_millis(8)) << "sampled a re-request answer";
+  }
+  {
+    // No clock (thread/TCP runtimes): the estimator stays inert.
+    ManualTimerEndpoint ep(2, 0);
+    net::ReliableLink link(ep, rto_config());
+    link.send(1, "t/a", SharedBytes(Bytes{1}));
+    net::Message ack = ack_from(1, "t/a", Bytes{1});
+    link.on_deliver(ack);
+    EXPECT_EQ(link.rto(1), sim::from_millis(8));
+  }
+}
+
+TEST(AdaptiveRto, BackoffDoublesFromTheRtoAndGivesUpAfterMaxRetries) {
+  ManualTimerEndpoint ep(2, 0);
+  net::ReliabilityConfig cfg = rto_config();
+  cfg.max_retries = 3;
+  net::ReliableLink link(ep, cfg);
+  std::size_t gave_up_attempts = 0;
+  link.set_on_give_up([&](NodeId, const net::Topic&, std::size_t attempts) {
+    gave_up_attempts = attempts;
+  });
+  round_trip(ep, link, "t/a", Bytes{1}, 0, sim::from_millis(20));  // RTO 60 ms
+  ASSERT_EQ(link.rto(1), sim::from_millis(60));
+
+  ep.now = sim::from_millis(100);
+  link.send(1, "t/b", SharedBytes(Bytes{2}));
+  const std::size_t first = ep.timers.size() - 1;
+  for (std::size_t i = 0; i < 3; ++i) ep.fire(first + i);
+  EXPECT_EQ(link.stats().retransmits, 3u);
+  EXPECT_EQ(std::vector<std::int64_t>(ep.delays.begin() + first, ep.delays.end()),
+            (std::vector<std::int64_t>{sim::from_millis(60), sim::from_millis(120),
+                                       sim::from_millis(240), sim::from_millis(480)}));
+  ep.fire(first + 3);  // the fourth expiry exhausts max_retries
+  EXPECT_EQ(link.stats().give_ups, 1u);
+  EXPECT_EQ(gave_up_attempts, 4u);  // original + 3 retransmits
+  EXPECT_EQ(ep.timers.size(), first + 4) << "a given-up message re-armed";
+  EXPECT_EQ(link.rto(1), sim::from_millis(60)) << "timeouts are not samples";
+}
+
+TEST(AdaptiveRto, FaultFreeServiceRunRetransmitsLessThanTheFixedTimer) {
+  // Four 48/4 double auctions at pipeline depth 2 over one reliable
+  // transport stack, kZero, no faults. With the fixed 8 ms timer counted
+  // from the nominal event time, this run made 50 retransmits (all
+  // spurious); timers counted from the handler's end plus the adaptive RTO
+  // leave only first-contact ones, before a peer has a round-trip sample.
+  core::AuctioneerSpec spec;
+  spec.m = 4;
+  spec.k = 1;
+  spec.num_bidders = 48;
+  const core::DistributedAuctioneer auctioneer(
+      spec, std::make_shared<core::DoubleAuctionAdapter>());
+  std::vector<auction::AuctionInstance> workloads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    workloads.push_back(
+        testutil::make_instance(48, 4, core::derive_instance_seed(5, t)));
+  }
+  runtime::ServiceRunConfig svc;
+  svc.base.seed = 5;
+  svc.base.reliability.enable = true;
+  svc.instances = 4;
+  svc.pipeline_depth = 2;
+  const auto run = runtime::ServiceRuntime(svc).run(auctioneer, workloads);
+
+  ASSERT_EQ(run.settled_ok, 4u);
+  const net::ReliabilityStats& rs = run.reliability_stats;
+  EXPECT_GT(rs.tracked, 0u);
+  EXPECT_LT(rs.retransmits, 50u);
+  EXPECT_EQ(rs.retransmits, rs.duplicates_suppressed)
+      << "on a fault-free link every retransmit is a duplicate";
+  EXPECT_EQ(rs.rerequests_sent, 0u);
+  EXPECT_EQ(rs.give_ups, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -147,6 +147,42 @@ TEST(Scheduler, RunSomeBudget) {
   EXPECT_EQ(count, 10);
 }
 
+TEST(Scheduler, RelativeTimerFromABusyHandlerCountsFromTheHandlerEnd) {
+  // Receive occupancy keeps node 0 busy: two messages delivered at t=0 are
+  // handled over [0, occ] and [occ, 2·occ]. The second handler sees now()
+  // read 0, its sends depart at 2·occ, and a relative timer it arms must
+  // count from there too — not from now().
+  LatencyModel model = LatencyModel::zero();
+  model.recv_per_byte = 1'000;
+  const net::Message a{kNoNode, 0, "a", Bytes(1000)};
+  const SimTime occ = model.recv_occupancy(a.wire_size());
+  const SimTime delay = from_millis(3);
+  Scheduler sched(2, model, 1);
+  int handled = 0;
+  SimTime handler_start = -1, handler_now = -1;
+  SimTime inside_fired = -1, outside_fired = -1, pong_at = -1;
+  sched.set_deliver(0, [&](const net::Message&) {
+    if (++handled < 2) return;
+    handler_start = sched.local_time(0);
+    handler_now = sched.now();
+    sched.send(net::Message{0, 1, "pong", {}});
+    sched.schedule_after(0, delay, [&] { inside_fired = sched.now(); });
+  });
+  sched.set_deliver(1, [&](const net::Message&) { pong_at = sched.now(); });
+  sched.inject(0, a);
+  sched.inject(0, a);
+  // Armed outside any handler: counts from now() (t=0), busy node or not.
+  sched.schedule_after(0, delay, [&] { outside_fired = sched.now(); });
+  sched.run();
+
+  ASSERT_GT(occ, 0);
+  EXPECT_EQ(handler_now, 0);
+  EXPECT_EQ(handler_start, occ);
+  EXPECT_EQ(pong_at, 2 * occ);
+  EXPECT_EQ(inside_fired, 2 * occ + delay);
+  EXPECT_EQ(outside_fired, delay);
+}
+
 TEST(Scheduler, DeterministicWithSeed) {
   auto run_once = [](std::uint64_t seed) {
     Scheduler sched(3, LatencyModel::community(), seed);

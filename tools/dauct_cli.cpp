@@ -102,7 +102,8 @@ single-node tcp deployment (one process per node; see docs/DURABILITY.md):
 
 reliability (sim runtime only; ack/retransmit layer, see docs/RELIABILITY.md):
   --reliable                  enable the reliable-delivery layer
-  --retransmit-delay-ms D     backoff base before the first retransmit (default 8)
+  --retransmit-delay-ms D     initial retransmit timeout, and the floor of the
+                              per-peer adaptive one (default 8)
   --max-retries N             retransmits before giving up on a peer (default 6)
   --round-timeout-ms D        round liveness watchdog period; 0 disables
                               (default 12)
@@ -285,6 +286,15 @@ std::optional<std::string> read_file(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+/// The one-line reliability summary of a sim run, single- or multi-instance.
+std::string reliability_summary(const net::ReliabilityStats& rs) {
+  return "reliability: " + std::to_string(rs.tracked) + " tracked, " +
+         std::to_string(rs.retransmits) + " retransmits, " +
+         std::to_string(rs.acks_sent) + " acks, " +
+         std::to_string(rs.duplicates_suppressed) + " dups suppressed, " +
+         std::to_string(rs.give_ups) + " give-ups";
 }
 
 int fail(const std::string& message) {
@@ -622,6 +632,9 @@ int main(int argc, char** argv) {
                   run.auctions_per_vsec(),
                   static_cast<unsigned long long>(run.traffic.messages),
                   static_cast<unsigned long long>(run.traffic.bytes));
+      if (opt.reliability.enable) {
+        std::printf("# %s\n", reliability_summary(run.reliability_stats).c_str());
+      }
       return run.settled_ok == run.instances.size() ? 0 : 2;
     }
     const auto run = runtime::SimRuntime(cfg).run_distributed(*auctioneer, instance);
@@ -630,12 +643,7 @@ int main(int argc, char** argv) {
              std::to_string(run.traffic.messages) + " msgs, " +
              std::to_string(run.traffic.bytes) + " bytes";
     if (opt.reliability.enable) {
-      const auto& rs = run.reliability_stats;
-      timing += "; reliability: " + std::to_string(rs.tracked) + " tracked, " +
-                std::to_string(rs.retransmits) + " retransmits, " +
-                std::to_string(rs.acks_sent) + " acks, " +
-                std::to_string(rs.duplicates_suppressed) + " dups suppressed, " +
-                std::to_string(rs.give_ups) + " give-ups";
+      timing += "; " + reliability_summary(run.reliability_stats);
     }
     if (opt.auth.enable) {
       const auto& as = run.auth_stats;
