@@ -6,6 +6,8 @@
 #include <numeric>
 #include <thread>
 
+#include "auction/knap_row.hpp"
+
 namespace dauct::auction {
 
 namespace {
@@ -177,18 +179,44 @@ struct DpItem {
 
 }  // namespace
 
-/// Reusable per-trial buffers: one arena instead of fresh allocations per
-/// provider, with `items` filled once per solve and shared read-only across
-/// trials (the active set is seed-independent). `take` stays a flat *byte*
-/// matrix: a one-bit-per-cell variant was tried and measured ~45% slower
-/// here — the register bookkeeping for bit packing beats the 8× smaller
-/// zeroing on the DP's store-heavy inner loop.
+/// Reusable per-trial buffers. `items`, `grid` and `weight` are filled once
+/// per solve by prepare() and read-only in every trial: the active set, and
+/// so the grid and each item's grid weight at each provider, do not depend
+/// on the seed. `take` only grows: knap_row writes every byte of each row it
+/// uses, so it is never cleared.
 struct ScaledDpSolver::Scratch {
-  std::vector<Item> items;  // filled once per solve, read-only per trial
+  std::vector<Item> items;
+  std::size_t grid = 0;             // capacity cells per provider
+  std::vector<std::size_t> weight;  // weight[j * n + i]; 0 = item i never fits j
   std::vector<char> placed;
   std::vector<std::int64_t> dp;
   std::vector<DpItem> dp_items;
   std::vector<char> take;  // take[t * (grid+1) + w]
+
+  /// Capacity grid: ⌈n/ε⌉ cells per provider (at least 16). Demands are
+  /// rounded *up* to cells, w = ⌈d·G/cap⌉, so any DP-feasible packing is
+  /// truly feasible.
+  void prepare(const AuctionInstance& instance, const std::vector<bool>& active,
+               double epsilon) {
+    active_items(instance, active, items);
+    const std::size_t n = items.size();
+    grid = std::max<std::size_t>(16, static_cast<std::size_t>(std::ceil(n / epsilon)));
+    weight.assign(instance.asks.size() * n, 0);
+    for (std::size_t j = 0; j < instance.asks.size(); ++j) {
+      const std::int64_t cap = instance.asks[j].capacity.micros();
+      if (cap <= 0) continue;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (items[i].demand > cap) continue;
+        const __int128 w128 =
+            (static_cast<__int128>(items[i].demand) * static_cast<std::int64_t>(grid) +
+             cap - 1) /
+            cap;
+        const auto w = static_cast<std::size_t>(w128);
+        if (w > grid) continue;
+        weight[j * n + i] = std::max<std::size_t>(w, 1);
+      }
+    }
+  }
 };
 
 ScaledDpSolver::ScaledDpSolver(double epsilon, std::size_t parallel_trials)
@@ -230,19 +258,18 @@ Assignment ScaledDpSolver::solve(const AuctionInstance& instance,
 
   std::vector<Assignment> results(trials_);
   const std::size_t workers = std::min(parallel_trials_, trials_);
+  Scratch prepared;
+  prepared.prepare(instance, active, epsilon_);
   if (workers <= 1) {
-    Scratch scratch;
-    active_items(instance, active, scratch.items);
     for (std::size_t t = 0; t < trials_; ++t) {
-      if (dup_of[t] == t) results[t] = solve_one_trial(instance, scratch, orders[t]);
+      if (dup_of[t] == t) results[t] = solve_one_trial(instance, prepared, orders[t]);
     }
   } else {
     std::vector<std::thread> threads;
     threads.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
       threads.emplace_back([&, w]() {
-        Scratch scratch;
-        active_items(instance, active, scratch.items);
+        Scratch scratch = prepared;
         for (std::size_t t = w; t < trials_; t += workers) {
           if (dup_of[t] == t) results[t] = solve_one_trial(instance, scratch, orders[t]);
         }
@@ -273,52 +300,32 @@ Assignment ScaledDpSolver::solve_one_trial(
   if (items.empty()) return out;
 
   const std::size_t n = items.size();
-  // Capacity grid: ⌈n/ε⌉ cells per provider (at least 16). Demands are
-  // rounded *up* to cells, so any DP-feasible packing is truly feasible.
-  const std::size_t grid =
-      std::max<std::size_t>(16, static_cast<std::size_t>(std::ceil(n / epsilon_)));
+  const std::size_t grid = scratch.grid;
 
   scratch.placed.assign(n, 0);
   scratch.dp.resize(grid + 1);
 
   std::int64_t welfare = 0;
   for (std::size_t j : provider_order) {
-    const std::int64_t cap = instance.asks[j].capacity.micros();
-    if (cap <= 0) continue;
-
-    // Gather unplaced items that fit, with grid weights w = ⌈d·G/cap⌉.
+    // Gather unplaced items that fit, with their precomputed grid weights.
+    const std::size_t* const weight = scratch.weight.data() + j * n;
     std::vector<DpItem>& dp_items = scratch.dp_items;
     dp_items.clear();
     for (std::size_t i = 0; i < n; ++i) {
-      if (scratch.placed[i] || items[i].demand > cap) continue;
-      const __int128 w128 =
-          (static_cast<__int128>(items[i].demand) * static_cast<std::int64_t>(grid) +
-           cap - 1) /
-          cap;
-      const auto w = static_cast<std::size_t>(w128);
-      if (w > grid) continue;
-      dp_items.push_back({i, std::max<std::size_t>(w, 1), items[i].value});
+      if (scratch.placed[i] || weight[i] == 0) continue;
+      dp_items.push_back({i, weight[i], items[i].value});
     }
     if (dp_items.empty()) continue;
 
-    // 0/1 knapsack over grid cells. Raw pointers hoisted out of the loops:
-    // the take rows are char stores, which alias everything, so indexing
-    // through the vectors would force the compiler to reload their data
-    // pointers on every iteration.
+    // 0/1 knapsack over grid cells, one knap_row per item. The kernel writes
+    // every byte of its take row, so `take` is grown, never cleared.
     std::fill(scratch.dp.begin(), scratch.dp.end(), 0);
-    scratch.take.assign(dp_items.size() * (grid + 1), 0);
-    std::int64_t* const dp = scratch.dp.data();
+    if (scratch.take.size() < dp_items.size() * (grid + 1)) {
+      scratch.take.resize(dp_items.size() * (grid + 1));
+    }
     for (std::size_t t = 0; t < dp_items.size(); ++t) {
-      const DpItem di = dp_items[t];
-      char* const row = scratch.take.data() + t * (grid + 1);
-      for (std::size_t w = grid; w >= di.weight; --w) {
-        const std::int64_t cand = dp[w - di.weight] + di.value;
-        if (cand > dp[w]) {
-          dp[w] = cand;
-          row[w] = 1;
-        }
-        if (w == di.weight) break;  // avoid size_t underflow
-      }
+      detail::knap_row(scratch.dp.data(), scratch.take.data() + t * (grid + 1), grid,
+                       dp_items[t].weight, dp_items[t].value);
     }
 
     // Reconstruct the chosen subset.

@@ -23,8 +23,9 @@
 // tie-breaks) — required for replicated cross-validation.
 //
 // Both solvers are the optimized hot-path implementations; the original
-// (seed-tree) versions live on in welfare_reference.hpp and the equivalence
-// tests assert byte-identical Assignments between the two.
+// (seed-tree) versions live on test/bench-only in tests/welfare_reference.*,
+// and tests/welfare_equivalence_test.cpp asserts byte-identical Assignments
+// between the two.
 #pragma once
 
 #include <cstdint>
@@ -73,10 +74,13 @@ class ExactSolver final : public WelfareSolver {
 
 /// (1−ε)-style scaled dynamic program with randomized perturbed trials.
 ///
-/// Hot-path layout: the active item set is materialized once per solve (it is
-/// seed-independent), every trial reuses a single scratch arena (DP row, flat
-/// take-matrix, perturbation buffers) instead of allocating per provider, and
-/// trials can optionally run on a small thread pool. All modes
+/// Hot-path layout: the active item set, the capacity grid and every item's
+/// grid weight at every provider are computed once per solve (they are
+/// seed-independent); every trial reuses a single scratch arena (DP row,
+/// grow-only take matrix) instead of allocating per provider; each item's DP
+/// row update is one call to a CPU-dispatched kernel (AVX2 or branch-free
+/// scalar, bit-identical, see knap_row.hpp); and trials can optionally run on
+/// a small thread pool. All modes
 /// return bit-identical Assignments: trials fork independent RNG streams and
 /// the winner is reduced in trial order, so thread count never changes the
 /// outcome (enforced against ReferenceScaledDpSolver by the equivalence

@@ -616,8 +616,7 @@ ServiceRunResult ServiceRuntime::run(
     for (NodeId j = 0; j < m; ++j) {
       InstanceNode& nd = inst.nodes[j];
       if (nd.override_abort) {
-        inst.res.provider_outcomes.push_back(
-            auction::AuctionOutcome(*nd.override_abort));
+        inst.res.provider_outcomes.emplace_back(*nd.override_abort);
       } else if (nd.engine->done()) {
         inst.res.provider_outcomes.push_back(*nd.engine->outcome());
       } else if (overflow) {

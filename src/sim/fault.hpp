@@ -79,7 +79,7 @@ struct LinkCut {
   /// an instance-confined cut severs only that instance's topic namespace
   /// while co-tenant instances keep flowing over the shared link.
   std::uint64_t instance = kAnyInstance;
-  std::string topic_scope;
+  std::string topic_scope{};
 };
 
 /// Network partition during [from, until): messages crossing the boundary
@@ -90,7 +90,7 @@ struct Partition {
   SimTime until = kSimForever;
   /// Instance filter + compiled topic prefix, same contract as LinkFault.
   std::uint64_t instance = kAnyInstance;
-  std::string topic_scope;
+  std::string topic_scope{};
 };
 
 /// What a crashed node keeps across its down window.

@@ -6,12 +6,15 @@
 // a mixed deployment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "auction/knap_row.hpp"
 #include "auction/welfare.hpp"
-#include "auction/welfare_reference.hpp"
 #include "auction/workload.hpp"
 #include "crypto/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "serde/auction_codec.hpp"
+#include "welfare_reference.hpp"
 
 namespace dauct::auction {
 namespace {
@@ -119,6 +122,83 @@ TEST(ScaledDpEquivalence, FewProvidersManyTrials) {
     const AuctionInstance inst = random_instance(16, 3, seed);
     EXPECT_EQ(opt.solve_all(inst, seed), ref.solve_all(inst, seed)) << "seed " << seed;
   }
+}
+
+TEST(ScaledDpEquivalence, StreamShapeAllocationAndClarkeMasks) {
+  // The standard_stream shape (n = 48, m = 4, ε = 0.25): the allocation solve
+  // plus every bidder's Clarke re-solve, seeded as standard_payment seeds
+  // them, so each solve a provider runs per auction is pinned.
+  const ScaledDpSolver opt(0.25);
+  const reference::ReferenceScaledDpSolver ref(0.25);
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const AuctionInstance inst = random_instance(48, 4, seed);
+    const std::uint64_t coin = seed * 0x2545f4914f6cdd1dULL;
+    ASSERT_EQ(opt.solve_all(inst, coin), ref.solve_all(inst, coin)) << "seed " << seed;
+    for (std::size_t i = 0; i < inst.bids.size(); ++i) {
+      std::vector<bool> active(inst.bids.size(), true);
+      active[i] = false;
+      const std::uint64_t s = coin ^ (0x9e3779b97f4a7c15ULL * (i + 1));
+      ASSERT_EQ(opt.solve(inst, active, s), ref.solve(inst, active, s))
+          << "seed " << seed << " without bidder " << i;
+    }
+  }
+}
+
+// knap_row: the vectorised kernel must write the same dp cells and take bytes
+// as the scalar one, and the scalar one the same as the original branchy
+// loop over a zeroed take row, for every weight, grid size and tie pattern.
+
+void branchy_knap_row(std::int64_t* dp, char* row, std::size_t grid, std::size_t wt,
+                      std::int64_t v) {
+  std::fill(row, row + grid + 1, 0);
+  for (std::size_t w = grid; w >= wt; --w) {
+    const std::int64_t cand = dp[w - wt] + v;
+    if (cand > dp[w]) {
+      dp[w] = cand;
+      row[w] = 1;
+    }
+    if (w == wt) break;
+  }
+}
+
+using KnapRowFn = void (*)(std::int64_t*, char*, std::size_t, std::size_t, std::int64_t);
+
+/// Runs `a` and `b` on the same random rows and expects identical dp and take
+/// bytes. Grids cover every residue of grid + 1 mod 4 and the chunk-overlap
+/// weights 1…5 as well as wt = grid; a small value range forces ties.
+void expect_same_rows(KnapRowFn a, KnapRowFn b) {
+  crypto::Rng rng(11);
+  for (std::size_t grid : {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 18, 63, 191, 192, 193}) {
+    std::vector<std::size_t> weights = {1, 2, 3, 4, 5, grid - 1, grid,
+                                        1 + rng.next_below(grid)};
+    for (std::size_t wt : weights) {
+      if (wt < 1 || wt > grid) continue;
+      for (const std::int64_t range : {std::int64_t{4}, std::int64_t{1} << 40}) {
+        for (int rep = 0; rep < 4; ++rep) {
+          std::vector<std::int64_t> dp_a(grid + 1);
+          for (auto& c : dp_a) c = static_cast<std::int64_t>(rng.next_below(range));
+          std::vector<std::int64_t> dp_b = dp_a;
+          const auto v = static_cast<std::int64_t>(rng.next_below(range));
+          // Stale bytes: the kernels must overwrite every take cell.
+          std::vector<char> row_a(grid + 1, 0x5a);
+          std::vector<char> row_b(grid + 1, 0x33);
+          a(dp_a.data(), row_a.data(), grid, wt, v);
+          b(dp_b.data(), row_b.data(), grid, wt, v);
+          ASSERT_EQ(dp_a, dp_b) << "grid " << grid << " wt " << wt << " v " << v;
+          ASSERT_EQ(row_a, row_b) << "grid " << grid << " wt " << wt << " v " << v;
+        }
+      }
+    }
+  }
+}
+
+TEST(KnapRowEquivalence, ScalarMatchesBranchyLoop) {
+  expect_same_rows(&detail::knap_row_scalar, &branchy_knap_row);
+}
+
+TEST(KnapRowEquivalence, Avx2MatchesScalar) {
+  if (!detail::knap_row_avx2_supported()) GTEST_SKIP() << "CPU lacks AVX2";
+  expect_same_rows(&detail::knap_row_avx2, &detail::knap_row_scalar);
 }
 
 TEST(DigestEquivalence, HardwareAndPortableSha256Agree) {

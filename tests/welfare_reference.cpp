@@ -1,7 +1,7 @@
 // Verbatim copy of the seed-tree solver implementations (see header). Kept
 // unoptimized on purpose: equivalence tests and the perf suite diff the
 // optimized solvers against this code.
-#include "auction/welfare_reference.hpp"
+#include "welfare_reference.hpp"
 
 #include <algorithm>
 #include <cassert>
